@@ -17,11 +17,11 @@
 #   make test         the tier-1 test run
 #   make race         full suite under the race detector (slow: the
 #                     experiments package replays every figure)
-#   make bench-smoke  one iteration of the sequential-vs-sharded replay
-#                     benchmarks, as a compile-and-run sanity check
+#   make bench-smoke  one iteration of the simulator's batched replay
+#                     benchmark, as a compile-and-run sanity check
 #   make bench        full benchmark suite (regenerates every figure)
-#   make fuzz-smoke   bounded fuzz of the sharded-vs-sequential cache
-#                     differential and the v1 trace codec round-trip;
+#   make fuzz-smoke   bounded fuzz of the simulator against the naive
+#                     LRU oracle and the v1 trace codec round-trip;
 #                     FUZZTIME bounds each target (default 10s)
 #   make fuzz-smoke-v2  bounded fuzz of the v2 (columnar) trace codec:
 #                     encode/decode round-trip incl. misalignment and
@@ -95,13 +95,13 @@ race:
 	$(GO) test -race ./...
 
 bench-smoke:
-	$(GO) test -run '^$$' -bench=Sharded -benchtime=1x .
+	$(GO) test -run '^$$' -bench='^BenchmarkSimulatorSequential$$' -benchtime=1x ./internal/cache
 
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem .
 
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzShardedVsSequential$$' -fuzztime $(FUZZTIME) ./internal/cache
+	$(GO) test -run '^$$' -fuzz '^FuzzSimulatorVsReference$$' -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeDecode$$' -fuzztime $(FUZZTIME) ./internal/trace
 
 fuzz-smoke-v2:

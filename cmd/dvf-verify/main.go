@@ -8,13 +8,11 @@
 //	            solved symbolically and checked against the sequential
 //	            simulator, exiting nonzero on any tolerance breach
 //	-csv        emit machine-readable CSV instead of the table
-//	-workers N  simulation parallelism: 0 (default) fans the twelve
-//	            (kernel, cache) cells out concurrently, 1 falls back to
-//	            the strictly sequential path, N>1 bounds the fan-out to N
-//	            cells and replays each on the set-sharded engine with N
-//	            workers, -1 fans the cells out and lets each pick its
-//	            engine adaptively (cache.NewAutoEngine). The output is
-//	            identical for every setting.
+//	-workers N  how many (kernel, cache) cells run at once: 0 (default)
+//	            fans all of them out concurrently, 1 falls back to the
+//	            strictly sequential path, N>1 keeps at most N in flight.
+//	            Negative values are a usage error (exit status 2). The
+//	            output is identical for every setting.
 //	-metrics X  dump a pipeline metrics snapshot on exit (internal/obs)
 //	-pprof P    write P.cpu.pprof and P.heap.pprof profiles
 package main
@@ -22,7 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
 	"github.com/resilience-models/dvf/internal/experiments"
@@ -30,43 +28,68 @@ import (
 )
 
 func main() {
-	engine := flag.String("engine", "replay", "verification engine: replay or analytic")
-	csvOut := flag.Bool("csv", false, "emit CSV instead of the table")
-	workers := flag.Int("workers", 0, "simulation workers (0 = parallel default, 1 = sequential, -1 = auto engine)")
-	o := obs.AddFlags(nil)
-	flag.Parse()
-	defer o.Start()()
-	switch *engine {
-	case "replay":
-		res, err := experiments.RunFig4Obs(*workers, o.Sink(), o.Tracer())
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *csvOut {
-			if err := res.WriteCSV(os.Stdout); err != nil {
-				log.Fatal(err)
-			}
-			return
-		}
-		fmt.Print(res.Render())
-	case "analytic":
-		res, err := experiments.RunAnalyticDiff(nil, *workers, o.Sink(), o.Tracer())
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *csvOut {
-			if err := res.WriteCSV(os.Stdout); err != nil {
-				log.Fatal(err)
-			}
-		} else {
-			fmt.Print(res.Render())
-		}
-		// The live differential is a gate, not just a report: any structure
-		// outside the documented tolerance is a hard failure.
-		if err := res.Check(); err != nil {
-			log.Fatal(err)
-		}
-	default:
-		log.Fatalf("dvf-verify: unknown -engine %q (want replay or analytic)", *engine)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole CLI, parameterized over its arguments and output
+// streams so main_test.go can drive it in-process. It returns the exit
+// status: 0 on success, 1 on a failed run, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dvf-verify", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	engine := fs.String("engine", "replay", "verification engine: replay or analytic")
+	csvOut := fs.Bool("csv", false, "emit CSV instead of the table")
+	workers := fs.Int("workers", 0, "cells in flight (0 = all at once, 1 = sequential)")
+	o := obs.AddFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
+	if *workers < 0 {
+		fmt.Fprintf(stderr, "dvf-verify: -workers must be >= 0, got %d\n", *workers)
+		fs.Usage()
+		return 2
+	}
+	defer o.Start()()
+	if err := verify(*engine, *csvOut, *workers, o, stdout); err != nil {
+		fmt.Fprintf(stderr, "dvf-verify: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+func verify(engine string, csvOut bool, workers int, o *obs.Options, stdout io.Writer) error {
+	type report interface {
+		WriteCSV(io.Writer) error
+		Render() string
+	}
+	var res report
+	check := func() error { return nil }
+	switch engine {
+	case "replay":
+		fig4, err := experiments.RunFig4Obs(workers, o.Sink(), o.Tracer())
+		if err != nil {
+			return err
+		}
+		res = fig4
+	case "analytic":
+		diff, err := experiments.RunAnalyticDiff(nil, workers, o.Sink(), o.Tracer())
+		if err != nil {
+			return err
+		}
+		// The live differential is a gate, not just a report: any
+		// structure outside the documented tolerance is a hard failure.
+		res, check = diff, diff.Check
+	default:
+		return fmt.Errorf("unknown -engine %q (want replay or analytic)", engine)
+	}
+	var err error
+	if csvOut {
+		err = res.WriteCSV(stdout)
+	} else {
+		_, err = io.WriteString(stdout, res.Render())
+	}
+	if err != nil {
+		return err
+	}
+	return check()
 }

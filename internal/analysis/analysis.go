@@ -1,7 +1,7 @@
 // Package analysis is a small, stdlib-only static-analysis framework —
 // go/parser + go/ast + go/types and nothing from x/tools — purpose-built
-// to enforce this repository's own invariants: bit-identical
-// sequential-vs-sharded replay, byte-identical golden CSVs with metrics
+// to enforce this repository's own invariants: bit-identical batched
+// and per-reference replay, byte-identical golden CSVs with metrics
 // on or off, the zero-overhead nil-sink pattern, and disciplined
 // concurrency. The dynamic proofs (differential tests, golden guards,
 // fuzz targets) can only catch a violation on an exercised path; the

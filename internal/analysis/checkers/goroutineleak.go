@@ -9,10 +9,11 @@ import (
 
 // GoroutineLeak flags goroutines launched in library code (internal/...)
 // with no visible join path. Every goroutine in the pipeline must be
-// collectable — the fan-out workers park on channel close and are reaped
-// by WaitGroup, the experiment fan-out joins through wg.Wait — because a
-// leaked goroutine pins its shard state, skews metrics snapshots, and
-// turns the race detector's schedule into a lottery.
+// collectable — the experiment fan-out joins through wg.Wait, the
+// service's grid workers park on channel close and are reaped by a
+// WaitGroup — because a leaked goroutine pins its cell state, skews
+// metrics snapshots, and turns the race detector's schedule into a
+// lottery.
 //
 // A launched func literal passes when its body contains a join signal: a
 // WaitGroup Done/Wait call, a channel send or close, a channel receive,

@@ -8,7 +8,7 @@ import (
 )
 
 // Poollife guards the arena-batch lifecycle the zero-copy replay path
-// is built on: every batch taken from a trace.BatchPool (or a
+// is built on: every batch taken from a trace arena pool (or a
 // sync.Pool) must be returned exactly once on every path. The dynamic
 // suite can only observe a leak as slow memory growth and a double-Put
 // as eventual aliasing corruption — exactly the silent-data-corruption
@@ -65,9 +65,7 @@ var poolModel = &analysis.OwnModel{
 		}
 		return 0, false
 	},
-	Tracks: func(t types.Type) bool {
-		return analysis.NamedIn(t, "trace") && namedName(t) == "RefBatch"
-	},
+	Tracks: isRefBatch,
 	FixFor: func(r *analysis.OwnResource) []analysis.SuggestedFix {
 		if r.BindName == "" || r.RecvPath == "" || !r.AcquireEnd.IsValid() {
 			return nil
@@ -83,8 +81,10 @@ var poolModel = &analysis.OwnModel{
 	},
 }
 
-// isPoolMethod reports whether fn is the named method on a
-// trace.BatchPool or a sync.Pool receiver.
+// isPoolMethod reports whether fn is the named method on a sync.Pool or
+// on a trace arena pool, recognized by shape rather than type name: a
+// package-trace type whose Get hands out, and whose Put takes back, a
+// *RefBatch.
 func isPoolMethod(fn *types.Func, name string) bool {
 	if fn == nil || fn.Name() != name {
 		return false
@@ -94,13 +94,22 @@ func isPoolMethod(fn *types.Func, name string) bool {
 		return false
 	}
 	rt := sig.Recv().Type()
-	if analysis.NamedIn(rt, "trace") && namedName(rt) == "BatchPool" {
-		return true
-	}
 	if analysis.NamedIn(rt, "sync") && namedName(rt) == "Pool" {
 		return true
 	}
-	return false
+	if !analysis.NamedIn(rt, "trace") {
+		return false
+	}
+	batch := sig.Results()
+	if name == "Put" {
+		batch = sig.Params()
+	}
+	return batch.Len() == 1 && isRefBatch(batch.At(0).Type())
+}
+
+// isRefBatch reports whether t is (a pointer to) trace.RefBatch.
+func isRefBatch(t types.Type) bool {
+	return analysis.NamedIn(t, "trace") && namedName(t) == "RefBatch"
 }
 
 // namedName returns the name of a (possibly pointer-wrapped) named

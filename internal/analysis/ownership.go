@@ -14,8 +14,8 @@ import (
 // first, intra-package fixpoint, cached on the Program under factsMu).
 //
 // A checker instantiates the engine with an OwnModel naming the
-// resource's primitive acquire and release operations (BatchPool.Get /
-// BatchPool.Put, mapFile / TraceFile.Close). The walker then tracks
+// resource's primitive acquire and release operations (pool Get / Put,
+// mapFile / TraceFile.Close). The walker then tracks
 // each acquired resource along every control-flow path:
 //
 //   - a path that leaves the function while a resource is live (and not

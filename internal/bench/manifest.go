@@ -31,13 +31,13 @@ const Schema = "dvf-bench/v1"
 type Cell struct {
 	Kernel   string      `json:"kernel"`
 	Cache    string      `json:"cache"`
-	Engine   string      `json:"engine"` // "sequential" or "sharded"
+	Engine   string      `json:"engine"` // "sequential", "analytic" or "serve"
 	Workers  int         `json:"workers"`
 	Iters    int         `json:"iters"`
 	Refs     int64       `json:"refs"`
 	WallNs   int64       `json:"wall_ns"`
 	NsPerRef float64     `json:"ns_per_ref"`
-	Stats    cache.Stats `json:"stats"` // total counters, for cross-engine identity checks
+	Stats    cache.Stats `json:"stats"` // total replay counters; zero on analytic and serve cells
 }
 
 // Key returns the identity under which cells are matched across manifests.
@@ -45,18 +45,9 @@ func (c Cell) Key() string {
 	return fmt.Sprintf("%s/%s/%s", c.Kernel, c.Cache, c.Engine)
 }
 
-// Speedup records the sharded engine's advantage over the sequential one
-// for the same (kernel, cache) replay.
-type Speedup struct {
-	Kernel  string  `json:"kernel"`
-	Cache   string  `json:"cache"`
-	Workers int     `json:"workers"`
-	Factor  float64 `json:"factor"` // sequential wall / sharded wall
-}
-
 // Manifest is one dvf-bench run: the environment it ran in, every
-// benchmarked cell, the derived speedups, and the pipeline's own metrics
-// snapshot (fan-out batching, drain latency, memory high-water marks).
+// benchmarked cell, and the pipeline's own metrics snapshot (record and
+// replay counters, latency histograms, memory high-water marks).
 type Manifest struct {
 	Schema     string           `json:"schema"`
 	Timestamp  string           `json:"timestamp"` // RFC3339 UTC
@@ -67,7 +58,6 @@ type Manifest struct {
 	NumCPU     int              `json:"num_cpu"`
 	GitRev     string           `json:"git_rev,omitempty"` // short commit hash, "" outside a checkout
 	Cells      []Cell           `json:"cells"`
-	Speedups   []Speedup        `json:"speedups,omitempty"`
 	Metrics    metrics.Snapshot `json:"metrics"`
 }
 

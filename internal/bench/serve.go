@@ -24,7 +24,7 @@ type ServeOptions struct {
 // RunServe benchmarks the dvf-serve hot path end to end: an in-process
 // server on an ephemeral port, the loadtest client fleet posting
 // analytic-engine sweep requests over real HTTP, and a graceful drain.
-// The outcome is the fifth bench cell, keyed "serve/loadtest/serve":
+// The outcome is the serve bench cell, keyed "serve/loadtest/serve":
 // Refs counts completed evaluations, WallNs the whole run, so NsPerRef
 // is the sustained wall cost per served evaluation — the number the
 // ">= 100k evaluations/min" capacity bar is written against. The

@@ -2,14 +2,12 @@ package cache
 
 import "github.com/resilience-models/dvf/internal/trace"
 
-// Batched replay entry points. Both engines consume trace.RefBatch blocks
-// directly — one bounds-checked loop over two uint64 columns instead of an
-// interface call per reference — and produce exactly the Stats the
-// per-reference Access path produces for the same stream (enforced by the
-// batch differential in sharded_diff_test.go).
-
-// AccessBatch replays a whole batch through the sequential simulator,
-// splitting multi-line references exactly like Access. The batch is not
+// AccessBatch replays a whole trace.RefBatch through the simulator — one
+// bounds-checked loop over two uint64 columns instead of an interface
+// call per reference — splitting multi-line references exactly like
+// Access, so it produces exactly the Stats the per-reference path
+// produces for the same stream (enforced by the batch differential in
+// replay_diff_test.go and by FuzzSimulatorVsReference). The batch is not
 // retained. It implements trace.BatchConsumer.
 //
 //dvf:hotpath
@@ -26,35 +24,4 @@ func (s *Simulator) AccessBatch(b *trace.RefBatch) {
 			s.accessBlock(blk, write, StructID(owner))
 		}
 	}
-}
-
-// AccessBatch replays a whole batch through the sharded engine: each
-// reference is split into per-block references (blocks map to different
-// sets and hence different shards) and routed through the fan-out's
-// batched buffers. The batch is not retained. It implements
-// trace.BatchConsumer.
-//
-//dvf:hotpath
-func (s *ShardedSim) AccessBatch(b *trace.RefBatch) {
-	for i := range b.Addrs {
-		size, write, owner := trace.UnpackMeta(b.Metas[i])
-		s.Access(b.Addrs[i], size, write, StructID(owner))
-	}
-}
-
-// shardSink feeds one shard's private Simulator. It implements both
-// trace.Consumer and trace.BatchConsumer, so the fan-out delivers whole
-// batches to the shard with no per-reference interface calls.
-type shardSink struct {
-	sim *Simulator
-}
-
-//dvf:hotpath
-func (ss shardSink) Access(r trace.Ref, owner int32) {
-	ss.sim.Access(r.Addr, r.Size, r.Write, StructID(owner))
-}
-
-//dvf:hotpath
-func (ss shardSink) AccessBatch(b *trace.RefBatch) {
-	ss.sim.AccessBatch(b)
 }

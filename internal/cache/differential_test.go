@@ -38,6 +38,15 @@ func (r *refCache) stat(id StructID) *Stats {
 	return s
 }
 
+// total sums the per-structure counters, the oracle's TotalStats.
+func (r *refCache) total() Stats {
+	var t Stats
+	for _, s := range r.stats {
+		t = t.add(*s)
+	}
+	return t
+}
+
 func (r *refCache) access(addr uint64, size uint32, write bool, owner StructID) {
 	if size == 0 {
 		size = 1

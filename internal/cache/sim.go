@@ -56,12 +56,11 @@ type line struct {
 	dirty bool
 }
 
-// Simulator is a write-back, write-allocate, set-associative LRU cache.
-// A Simulator's methods must not be called concurrently: drive one
-// simulator per goroutine, or use ShardedSim — which partitions the sets
-// of a single geometry across several internal Simulators and is proven
-// bit-identical to this sequential engine — to parallelize one replay
-// across cores.
+// Simulator is a write-back, write-allocate, set-associative LRU cache,
+// the replay engine every cache measurement in the toolkit runs on. A
+// Simulator's methods must not be called concurrently: drive one
+// simulator per goroutine (experiments.Parallel runs independent
+// (kernel, cache) cells side by side that way).
 type Simulator struct {
 	cfg        Config
 	lineShift  uint
@@ -88,9 +87,9 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 		return nil, err
 	}
 	// Set backing storage is allocated lazily, on a set's first miss: a
-	// ShardedSim builds one full-geometry Simulator per shard but feeds
-	// each only its own slice of the sets, so eager allocation would
-	// multiply the footprint by the shard count for no benefit.
+	// stream that touches few sets of a large geometry (short replays,
+	// the small fuzz and test streams) pays only for the sets it uses,
+	// and an untouched set costs one nil slice header.
 	s := &Simulator{
 		cfg:        cfg,
 		lineShift:  uint(bits.TrailingZeros(uint(cfg.LineSize))),
@@ -240,19 +239,6 @@ func (s *Simulator) PerStructStats() map[StructID]Stats {
 	return out
 }
 
-// Drain is a no-op on the sequential simulator; it exists so Simulator and
-// ShardedSim share the Engine interface (the sharded engine uses Drain as
-// its feed/worker barrier).
-func (s *Simulator) Drain() {}
-
-// Close is a no-op on the sequential simulator (Engine interface).
-func (s *Simulator) Close() {}
-
-// Instrument is a no-op on the sequential simulator: its counters are the
-// Stats themselves, exported on demand by PublishStats. It exists so both
-// engines share the Engine interface.
-func (s *Simulator) Instrument(sink metrics.Sink) {}
-
 // Trace attaches a timeline to the simulator: a "cache.sim" track with
 // spans around Flush and Reset, and a "cache.sim.accesses" progress
 // counter sampled every 2^20 references. A nil recorder leaves the
@@ -278,13 +264,10 @@ func (s *Simulator) traceNamed(tz tracez.Recorder, name string) {
 // publishing is a handful of gauge stores at reporting time — the hot path
 // is never touched.
 func (s *Simulator) PublishStats(sink metrics.Sink, prefix string) {
-	publishStats(sink, prefix, s.total)
-}
-
-func publishStats(sink metrics.Sink, prefix string, st Stats) {
 	if sink == nil {
 		return
 	}
+	st := s.total
 	sink.Gauge(prefix + ".accesses").Set(st.Accesses)
 	sink.Gauge(prefix + ".hits").Set(st.Hits)
 	sink.Gauge(prefix + ".misses").Set(st.Misses)
@@ -308,22 +291,16 @@ func (s *Simulator) ResidentBlocks(id StructID) int {
 
 // Report renders a deterministic per-structure summary table.
 func (s *Simulator) Report() string {
-	return renderReport(s.cfg, s.PerStructStats(), s.total, s.structName)
-}
-
-// renderReport is the shared report formatter: both engines render through
-// it, so a sharded replay's report is byte-identical to the sequential one.
-func renderReport(cfg Config, perStruct map[StructID]Stats, total Stats, names map[StructID]string) string {
-	ids := make([]StructID, 0, len(perStruct))
-	for id := range perStruct {
+	ids := make([]StructID, 0, len(s.perStruct))
+	for id := range s.perStruct {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	out := fmt.Sprintf("cache %s\n%-12s %10s %10s %10s %10s\n",
-		cfg, "struct", "accesses", "misses", "writebacks", "missratio")
+		s.cfg, "struct", "accesses", "misses", "writebacks", "missratio")
 	for _, id := range ids {
-		st := perStruct[id]
-		name := names[id]
+		st := s.perStruct[id]
+		name := s.structName[id]
 		if name == "" {
 			name = fmt.Sprintf("#%d", id)
 		}
@@ -331,7 +308,7 @@ func renderReport(cfg Config, perStruct map[StructID]Stats, total Stats, names m
 			name, st.Accesses, st.Misses, st.Writebacks, st.MissRatio())
 	}
 	out += fmt.Sprintf("%-12s %10d %10d %10d %10.4f\n",
-		"TOTAL", total.Accesses, total.Misses, total.Writebacks, total.MissRatio())
+		"TOTAL", s.total.Accesses, s.total.Misses, s.total.Writebacks, s.total.MissRatio())
 	return out
 }
 

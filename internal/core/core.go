@@ -90,21 +90,6 @@ func VerifyKernel(k Kernel, cfg CacheConfig) ([]VerificationRow, error) {
 	return experiments.VerifyKernel(k, cfg)
 }
 
-// AutoWorkers is the worker-count sentinel that lets the toolkit pick the
-// replay engine adaptively (cache.NewAutoEngine): sequential below the
-// sharding crossover, set-sharded above it. Pass it wherever a workers
-// count is accepted (VerifyKernelWorkers, the experiment drivers, the
-// CLIs' -workers flags).
-const AutoWorkers = experiments.AutoWorkers
-
-// VerifyKernelWorkers is VerifyKernel with an explicit replay-engine
-// worker count: 1 sequential, >1 set-sharded, 0 one worker per CPU, and
-// AutoWorkers the adaptive crossover choice. The rows are bit-identical
-// for every setting.
-func VerifyKernelWorkers(k Kernel, cfg CacheConfig, workers int) ([]VerificationRow, error) {
-	return experiments.VerifyKernelWorkers(k, cfg, workers)
-}
-
 // Affine reports whether the kernel has a static affine access pattern,
 // i.e. whether the trace-free analytic engine applies to it (VM, CG, MG
 // and FT of the Table II suite; NB and MC are data- or RNG-dependent).

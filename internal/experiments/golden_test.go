@@ -12,8 +12,8 @@ import (
 // Golden-file tests for the CSV writers: every figure's CSV is checked in
 // under testdata/ and each sweep must reproduce it byte for byte — under
 // both the strictly sequential path (-workers=1, no goroutines at all)
-// and the default parallel fan-out — proving that neither the concurrency
-// schedule nor the simulation engine leaks into the output.
+// and the default parallel fan-out — proving that the concurrency
+// schedule does not leak into the output.
 //
 // Regenerate with:
 //
@@ -52,7 +52,7 @@ func TestGoldenFig4CSV(t *testing.T) {
 		t.Skip("full verification sweep is slow")
 	}
 	if raceEnabled {
-		t.Skip("byte-identity is engine-agnostic; race runs cover the fan-outs elsewhere")
+		t.Skip("byte-identity does not depend on the schedule; race runs cover the fan-outs elsewhere")
 	}
 	render := func(workers int) []byte {
 		res, err := RunFig4Workers(workers)
@@ -70,15 +70,6 @@ func TestGoldenFig4CSV(t *testing.T) {
 	if par := render(0); !bytes.Equal(seq, par) {
 		t.Error("parallel Fig4 CSV differs from the sequential run")
 	}
-	// workers=4 routes every cell through the set-sharded engine.
-	if sharded := render(4); !bytes.Equal(seq, sharded) {
-		t.Error("sharded-engine Fig4 CSV differs from the sequential run")
-	}
-	// AutoWorkers lets every cell pick its engine from the crossover
-	// heuristic — the dvf-verify -workers=-1 path.
-	if auto := render(AutoWorkers); !bytes.Equal(seq, auto) {
-		t.Error("auto-engine Fig4 CSV differs from the sequential run")
-	}
 }
 
 func TestGoldenFig5CSV(t *testing.T) {
@@ -86,7 +77,7 @@ func TestGoldenFig5CSV(t *testing.T) {
 		t.Skip("profiling sweep is slow")
 	}
 	if raceEnabled {
-		t.Skip("byte-identity is engine-agnostic; race runs cover the fan-outs elsewhere")
+		t.Skip("byte-identity does not depend on the schedule; race runs cover the fan-outs elsewhere")
 	}
 	render := func(workers int) []byte {
 		res, err := RunFig5Workers(workers)
@@ -104,9 +95,6 @@ func TestGoldenFig5CSV(t *testing.T) {
 	if par := render(0); !bytes.Equal(seq, par) {
 		t.Error("parallel Fig5 CSV differs from the sequential run")
 	}
-	if auto := render(AutoWorkers); !bytes.Equal(seq, auto) {
-		t.Error("auto-workers Fig5 CSV differs from the sequential run")
-	}
 }
 
 func TestGoldenFig6CSV(t *testing.T) {
@@ -114,7 +102,7 @@ func TestGoldenFig6CSV(t *testing.T) {
 		t.Skip("convergence sweep is slow")
 	}
 	if raceEnabled {
-		t.Skip("byte-identity is engine-agnostic; race runs cover the fan-outs elsewhere")
+		t.Skip("byte-identity does not depend on the schedule; race runs cover the fan-outs elsewhere")
 	}
 	render := func(workers int) []byte {
 		res, err := RunFig6Workers(workers)
@@ -131,9 +119,6 @@ func TestGoldenFig6CSV(t *testing.T) {
 	goldenCompare(t, "fig6.csv", seq)
 	if par := render(0); !bytes.Equal(seq, par) {
 		t.Error("parallel Fig6 CSV differs from the sequential run")
-	}
-	if auto := render(AutoWorkers); !bytes.Equal(seq, auto) {
-		t.Error("auto-workers Fig6 CSV differs from the sequential run")
 	}
 }
 

@@ -1,9 +1,8 @@
 package trace
 
-import (
-	"sync"
-	"unsafe"
-)
+// DefaultBatch is the replay batch size: large enough that per-batch
+// overhead vanishes from profiles; one batch's two columns span 64 KB.
+const DefaultBatch = 4096
 
 // RefBatch is a struct-of-arrays block of memory references, the unit the
 // batched replay hot path moves around instead of one Ref at a time. Two
@@ -16,9 +15,9 @@ import (
 // written to disk with two bulk column writes.
 //
 // A RefBatch is a pair of slice headers: slicing (Slice) and passing by
-// value are cheap and share the backing arrays. Batches used on the replay
-// hot path come from a BatchPool so the backing arenas are recycled
-// instead of reallocated.
+// value are cheap and share the backing arrays, so the replay hot path
+// moves DefaultBatch-sized views over one recording or one mapped trace
+// instead of copying references.
 type RefBatch struct {
 	Addrs []uint64 // simulated virtual addresses
 	Metas []uint64 // packed size/owner/write words, same length as Addrs
@@ -76,16 +75,15 @@ func (b *RefBatch) Reset() {
 	b.Metas = b.Metas[:0]
 }
 
-// Append adds one reference to the batch. On pooled batches fed in
-// DefaultBatch-sized blocks the append stays within the arena capacity;
-// free-standing batches (e.g. a BatchRecorder) grow amortized like any
-// slice.
+// Append adds one reference to the batch. Within the columns' capacity
+// the append never allocates; beyond it (e.g. a BatchRecorder) the
+// columns grow amortized like any slice.
 //
 //dvf:hotpath
 func (b *RefBatch) Append(r Ref, owner int32) {
-	//dvf:allow hotalloc pooled batches carry full arena capacity so append never grows; growth only happens on free-standing recorder batches off the hot path
+	//dvf:allow hotalloc append within preallocated capacity never grows; growth only happens on recorder batches, which are off the replay hot path
 	b.Addrs = append(b.Addrs, r.Addr)
-	//dvf:allow hotalloc same arena-capacity argument as the address column
+	//dvf:allow hotalloc same capacity argument as the address column
 	b.Metas = append(b.Metas, PackMeta(r.Size, r.Write, owner))
 }
 
@@ -121,8 +119,8 @@ func (b *RefBatch) Each(fn func(Ref, int32)) {
 // BatchConsumer is the block-granular sibling of Consumer: implementations
 // receive whole reference batches. Consumers that also implement
 // BatchConsumer are fed batches directly by the batched replay paths
-// (FanOut workers, engine AccessBatch), skipping the per-reference
-// interface call.
+// (TraceFile.Replay, cache.Simulator.AccessBatch), skipping the
+// per-reference interface call.
 type BatchConsumer interface {
 	AccessBatch(b *RefBatch)
 }
@@ -167,79 +165,3 @@ func (br *BatchRecorder) AccessBatch(b *RefBatch) {
 //
 //dvf:hotpath
 func (br *BatchRecorder) Len() int { return br.Batch.Len() }
-
-// BatchPool recycles fixed-capacity RefBatches across producers and
-// consumers — the arena/freelist behind the batched fan-out. Each pooled
-// batch owns a single contiguous uint64 slab split into its two columns,
-// so one Get costs at most one allocation (and, in steady state, none:
-// batches drained by shard workers come back through Put).
-type BatchPool struct {
-	capacity int
-	pool     sync.Pool
-}
-
-// NewBatchPool returns a pool of batches with the given per-batch
-// capacity. capacity <= 0 selects DefaultBatch.
-func NewBatchPool(capacity int) *BatchPool {
-	if capacity <= 0 {
-		capacity = DefaultBatch
-	}
-	p := &BatchPool{capacity: capacity}
-	p.pool.New = func() any {
-		// One arena slab per batch: the address column is the first half,
-		// the meta column the second. Full capacity up front means Append
-		// never regrows either column.
-		slab := make([]uint64, 2*capacity)
-		return &RefBatch{
-			Addrs: slab[0:0:capacity],
-			Metas: slab[capacity : capacity : 2*capacity],
-		}
-	}
-	return p
-}
-
-// Capacity returns the per-batch reference capacity.
-//
-//dvf:hotpath
-func (p *BatchPool) Capacity() int { return p.capacity }
-
-// Get returns an empty batch with the pool's capacity.
-//
-//dvf:hotpath
-func (p *BatchPool) Get() *RefBatch {
-	b := p.pool.Get().(*RefBatch)
-	b.Reset()
-	return b
-}
-
-// Put returns a batch to the pool. Only batches carrying the pool's own
-// arena shape are recycled: both columns must have exactly the pool's
-// capacity — an oversized foreign batch would silently change the
-// pool's arena size for every later Get, an undersized one would make
-// Append regrow — and they must live in one contiguous slab, metas
-// directly after addrs, the layout NewBatchPool allocates. Anything
-// else (views over a mapped v2 trace, recorder batches, hand-assembled
-// batches whose capacity merely coincides) is dropped, so the pool can
-// never hand out an aliased, oversized or undersized arena.
-//
-//dvf:hotpath
-func (p *BatchPool) Put(b *RefBatch) {
-	if b == nil || cap(b.Addrs) != p.capacity || cap(b.Metas) != p.capacity {
-		return
-	}
-	if !sameSlab(b.Addrs, b.Metas) {
-		return
-	}
-	p.pool.Put(b)
-}
-
-// sameSlab reports whether the meta column starts exactly one capacity
-// past the addr column — the single-slab arena layout the pool's New
-// allocates. A mapped-trace view or a hand-built batch can match the
-// pool's capacity, but it cannot fake contiguity without actually being
-// one slab, which is what makes recycling it safe: a batch that passes
-// here is indistinguishable from one the pool allocated itself.
-func sameSlab(addrs, metas []uint64) bool {
-	end := unsafe.Add(unsafe.Pointer(unsafe.SliceData(addrs)), uintptr(cap(addrs))*unsafe.Sizeof(uint64(0)))
-	return end == unsafe.Pointer(unsafe.SliceData(metas))
-}

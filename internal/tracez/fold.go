@@ -8,8 +8,8 @@ import (
 
 // Fold turns a parsed trace into the terminal report dvf-flame prints:
 // per-phase self/total time (a phase is one span name on one named
-// track, so "shard3 / batch" and "shard5 / batch" stay distinguishable)
-// and the top individual spans by duration — the "which shard stalled,
+// track, so "worker3 / batch" and "worker5 / batch" stay distinguishable)
+// and the top individual spans by duration — the "which worker stalled,
 // which driver dominated" question answered without opening a UI.
 
 // PhaseStat aggregates every span sharing a (track, name) identity.

@@ -2,8 +2,8 @@
 // low-overhead span recorder whose output is Chrome trace-event JSON,
 // loadable in Perfetto (https://ui.perfetto.dev) or chrome://tracing.
 // Where internal/metrics answers "how many, how long in aggregate",
-// tracez answers "when, on which worker, overlapping what" — which shard
-// stalled, which figure driver dominated wall-clock, where the fan-out
+// tracez answers "when, on which worker, overlapping what" — which cell
+// stalled, which figure driver dominated wall-clock, where a service
 // queue backed up.
 //
 // The package follows the same nil-sink discipline as internal/metrics
@@ -144,7 +144,7 @@ func (t *Tracer) now() int64 { return int64(time.Since(t.start)) }
 
 // Track creates a new named track (a Perfetto thread lane). Spans and
 // instants on one track must not overlap in time, so give each
-// concurrent actor — a shard worker, a figure cell, a pipeline stage —
+// concurrent actor — a pool worker, a figure cell, a pipeline stage —
 // its own track. A nil tracer returns a nil (no-op) track.
 func (t *Tracer) Track(name string) *Track {
 	if t == nil {
