@@ -23,7 +23,7 @@ import (
 func BenchmarkFig4Verification(b *testing.B) {
 	var maxErr float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig4()
+		res, err := experiments.RunFig4(experiments.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func BenchmarkFig4PerKernel(b *testing.B) {
 func BenchmarkFig5Profiling(b *testing.B) {
 	var mc float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig5()
+		res, err := experiments.RunFig5(experiments.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func BenchmarkFig5Profiling(b *testing.B) {
 func BenchmarkFig6CGvsPCG(b *testing.B) {
 	var crossover int
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig6()
+		res, err := experiments.RunFig6(experiments.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func BenchmarkFig6CGvsPCG(b *testing.B) {
 func BenchmarkFig7ECC(b *testing.B) {
 	var atPct float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig7()
+		res, err := experiments.RunFig7(experiments.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

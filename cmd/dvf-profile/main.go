@@ -40,7 +40,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	defer o.Start()()
-	res, err := experiments.RunFig5Obs(*workers, o.Sink(), o.Tracer())
+	res, err := experiments.RunFig5(experiments.Options{Workers: *workers, Sink: o.Sink(), Tracer: o.Tracer()})
 	if err == nil {
 		if *csvOut {
 			err = res.WriteCSV(stdout)

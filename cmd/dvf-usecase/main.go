@@ -5,12 +5,14 @@
 //	-case cgpcg|ecc|all   which use case to run
 //	-csv                  emit machine-readable CSV instead of the tables
 //	-plot                 draw the figures as ASCII charts
+//
+// An unknown -case is a usage error (exit status 2).
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
 	"github.com/resilience-models/dvf/internal/experiments"
@@ -19,52 +21,85 @@ import (
 )
 
 func main() {
-	which := flag.String("case", "all", "use case to run: cgpcg, ecc or all")
-	csvOut := flag.Bool("csv", false, "emit CSV instead of the tables")
-	plotOut := flag.Bool("plot", false, "draw the figures as ASCII charts")
-	o := obs.AddFlags(nil)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// report is the common shape of the Figure 6 and Figure 7 results.
+type report interface {
+	WriteCSV(io.Writer) error
+	Render() string
+}
+
+// run is the whole CLI, parameterized over its arguments and output
+// streams so main_test.go can drive it in-process. It returns the exit
+// status: 0 on success, 1 on a failed run, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dvf-usecase", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	which := fs.String("case", "all", "use case to run: cgpcg, ecc or all")
+	csvOut := fs.Bool("csv", false, "emit CSV instead of the tables")
+	plotOut := fs.Bool("plot", false, "draw the figures as ASCII charts")
+	o := obs.AddFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	switch *which {
+	case "cgpcg", "ecc", "all":
+	default:
+		fmt.Fprintf(stderr, "dvf-usecase: unknown -case %q (want cgpcg, ecc or all)\n", *which)
+		fs.Usage()
+		return 2
+	}
 	defer o.Start()()
-	if *which == "cgpcg" || *which == "all" {
-		res, err := experiments.RunFig6Obs(0, o.Sink(), o.Tracer())
+	opts := experiments.Options{Sink: o.Sink(), Tracer: o.Tracer()}
+	if err := usecase(*which, *csvOut, *plotOut, opts, stdout); err != nil {
+		fmt.Fprintf(stderr, "dvf-usecase: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+func usecase(which string, csvOut, plotOut bool, o experiments.Options, stdout io.Writer) error {
+	if which == "cgpcg" || which == "all" {
+		res, err := experiments.RunFig6(o)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		switch {
-		case *csvOut:
-			if err := res.WriteCSV(os.Stdout); err != nil {
-				log.Fatal(err)
-			}
-		case *plotOut:
-			out, err := plotFig6(res)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Print(out)
-		default:
-			fmt.Print(res.Render())
+		if err := emit(res, csvOut, plotOut, plotFig6, stdout); err != nil {
+			return err
 		}
 	}
-	if *which == "ecc" || *which == "all" {
-		res, err := experiments.RunFig7Obs(o.Sink(), o.Tracer())
+	if which == "ecc" || which == "all" {
+		res, err := experiments.RunFig7(o)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		switch {
-		case *csvOut:
-			if err := res.WriteCSV(os.Stdout); err != nil {
-				log.Fatal(err)
-			}
-		case *plotOut:
-			out, err := plotFig7(res)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Print(out)
-		default:
-			fmt.Print(res.Render())
+		if err := emit(res, csvOut, plotOut, plotFig7, stdout); err != nil {
+			return err
 		}
 	}
+	return nil
+}
+
+// emit writes one figure as CSV, an ASCII chart or the table.
+func emit[R report](res R, csvOut, plotOut bool, draw func(R) (string, error), stdout io.Writer) error {
+	var (
+		out string
+		err error
+	)
+	switch {
+	case csvOut:
+		return res.WriteCSV(stdout)
+	case plotOut:
+		out, err = draw(res)
+	default:
+		out = res.Render()
+	}
+	if err != nil {
+		return err
+	}
+	_, err = io.WriteString(stdout, out)
+	return err
 }
 
 // plotFig6 draws the CG-vs-PCG DVF curves on a log axis, the paper's

@@ -50,14 +50,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	defer o.Start()()
-	if err := verify(*engine, *csvOut, *workers, o, stdout); err != nil {
+	opts := experiments.Options{Workers: *workers, Sink: o.Sink(), Tracer: o.Tracer()}
+	if err := verify(*engine, *csvOut, opts, stdout); err != nil {
 		fmt.Fprintf(stderr, "dvf-verify: %v\n", err)
 		return 1
 	}
 	return 0
 }
 
-func verify(engine string, csvOut bool, workers int, o *obs.Options, stdout io.Writer) error {
+func verify(engine string, csvOut bool, o experiments.Options, stdout io.Writer) error {
 	type report interface {
 		WriteCSV(io.Writer) error
 		Render() string
@@ -66,13 +67,13 @@ func verify(engine string, csvOut bool, workers int, o *obs.Options, stdout io.W
 	check := func() error { return nil }
 	switch engine {
 	case "replay":
-		fig4, err := experiments.RunFig4Obs(workers, o.Sink(), o.Tracer())
+		fig4, err := experiments.RunFig4(o)
 		if err != nil {
 			return err
 		}
 		res = fig4
 	case "analytic":
-		diff, err := experiments.RunAnalyticDiff(nil, workers, o.Sink(), o.Tracer())
+		diff, err := experiments.RunAnalyticDiff(o)
 		if err != nil {
 			return err
 		}

@@ -1,5 +1,5 @@
 // Package metrics is a miniature stand-in for the repo's real metrics
-// package. The nilsink checker's rule 2 keys on the package NAME, so
+// package. The nilsink checker keys on the package NAME, so
 // analyzing this fixture exercises the nil-receiver-guard rule; the
 // determinism fixtures import it to exercise the "time.Now feeding only
 // metrics" allowance.

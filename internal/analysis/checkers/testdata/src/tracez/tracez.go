@@ -1,5 +1,5 @@
 // Package tracez is a miniature stand-in for the repo's real tracez
-// package. The nilsink checker's rule 2 keys on the package NAME —
+// package. The nilsink checker keys on the package NAME —
 // "metrics" and "tracez" are the nil-able handle packages — so analyzing
 // this fixture exercises the nil-receiver-guard rule over tracer-shaped
 // types: a nil *Tracer hands out nil *Track handles and every method

@@ -113,7 +113,7 @@ func (p *Program) DepOrder(targets []*Package) []*Package {
 
 // ObservabilityPkg reports whether tp is one of the nil-safe recorder
 // packages (metrics, tracez): the sanctioned observability sinks whose
-// handle methods are nil-guarded (nilsink rule 2) and own the clock.
+// handle methods are nil-guarded (the nilsink checker) and own the clock.
 // Interprocedural checkers treat calls into them as boundaries: hotalloc
 // assumes the nil-recorder configuration, and the clock-taint summaries
 // do not propagate out of them.

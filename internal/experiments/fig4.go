@@ -10,9 +10,7 @@ import (
 
 	"github.com/resilience-models/dvf/internal/cache"
 	"github.com/resilience-models/dvf/internal/kernels"
-	"github.com/resilience-models/dvf/internal/metrics"
 	"github.com/resilience-models/dvf/internal/trace"
-	"github.com/resilience-models/dvf/internal/tracez"
 )
 
 // Fig4Row is one bar pair of Figure 4: the analytically estimated and the
@@ -62,42 +60,35 @@ func (res *Fig4Result) MaxAbsErrorPct() float64 {
 // the simulated miss counts — the Figure 4 procedure for a single
 // (kernel, cache) cell.
 func VerifyKernel(k kernels.Kernel, cfg cache.Config) ([]Fig4Row, error) {
-	return VerifyKernelSink(k, cfg, nil)
+	return verifyKernel(k, cfg, Options{})
 }
 
-// VerifyKernelSink is VerifyKernel with observability: a live sink
-// receives the kernel's reference-stream counters (trace.Instrumented), a
+// verifyKernel is VerifyKernel with o's observability (o.Workers does not
+// apply to a single cell). A live o.Sink receives the kernel's
+// reference-stream counters (trace.Instrumented), an
 // "experiments.kernel_run_ns" timing of the traced run and the
-// simulator's final per-cell cache counters. The rows are byte-identical
-// with or without a sink — instrumentation only observes the stream,
-// never reorders it — which the metrics golden guard test asserts for
-// every figure.
-func VerifyKernelSink(k kernels.Kernel, cfg cache.Config, ms metrics.Sink) ([]Fig4Row, error) {
-	return VerifyKernelObs(k, cfg, ms, nil)
-}
-
-// VerifyKernelObs is VerifyKernelSink with a timeline recorder: the cell
-// gets its own track ("fig4 CG/Verify256KB") carrying a "run" span
-// around the traced kernel execution and a "model" span around the
-// estimator evaluation, and the simulator's own track attaches via
-// Simulator.Trace. The rows are byte-identical with or without a
-// recorder — the tracing guard test asserts this for every figure.
-func VerifyKernelObs(k kernels.Kernel, cfg cache.Config, ms metrics.Sink, tz tracez.Recorder) ([]Fig4Row, error) {
+// simulator's final per-cell cache counters. A live o.Tracer gives the
+// cell its own track ("fig4 CG/Verify256KB") carrying a "run" span around
+// the traced kernel execution and a "model" span around the estimator
+// evaluation; the simulator's own track attaches via Simulator.Trace. The
+// rows are byte-identical either way — instrumentation only observes the
+// stream, never reorders it — which TestGoldenFig4CSV asserts.
+func verifyKernel(k kernels.Kernel, cfg cache.Config, o Options) ([]Fig4Row, error) {
 	sim, err := cache.NewSimulator(cfg)
 	if err != nil {
 		return nil, err
 	}
-	sim.Trace(tz)
-	tk := tz.Track("fig4 " + k.Name() + "/" + cfg.Name)
+	sim.Trace(o.Tracer)
+	tk := o.Tracer.Track("fig4 " + k.Name() + "/" + cfg.Name)
 	var sink trace.Consumer = trace.ConsumerFunc(func(r trace.Ref, owner int32) {
 		sim.Access(r.Addr, r.Size, r.Write, cache.StructID(owner))
 	})
-	sink = trace.Instrumented(sink, ms, "experiments.trace")
-	sw := ms.Timer("experiments.kernel_run_ns").Start()
+	sink = trace.Instrumented(sink, o.Sink, "experiments.trace")
+	sw := o.Sink.Timer("experiments.kernel_run_ns").Start()
 	sp := tk.Begin("run")
 	info, err := k.Run(sink)
 	sw.Stop()
-	defer sim.PublishStats(ms, "cache."+k.Name()+"."+cfg.Name)
+	defer sim.PublishStats(o.Sink, "cache."+k.Name()+"."+cfg.Name)
 	if err != nil {
 		sp.End()
 		return nil, fmt.Errorf("experiments: running %s: %w", k.Name(), err)
@@ -133,32 +124,10 @@ func VerifyKernelObs(k kernels.Kernel, cfg cache.Config, ms metrics.Sink, tz tra
 // RunFig4 executes the full Figure 4 verification: all six kernels at the
 // Table V input sizes against both Table IV verification caches. The
 // twelve (kernel, cache) cells are independent — each owns its kernel
-// instance and simulator — so they run concurrently; results keep the
-// deterministic cache-major, Table II order.
-func RunFig4() (*Fig4Result, error) { return RunFig4Workers(0) }
-
-// RunFig4Workers is RunFig4 with an explicit bound on the cells in
-// flight: 1 runs the cells one after another with no goroutines at all
-// (the drivers' -workers=1 fallback path), 0 fans all of them out
-// concurrently, and N > 1 keeps at most N in flight. Every cell replays
-// on its own sequential Simulator, so the rows are identical for every
-// setting; only wall-clock time changes.
-func RunFig4Workers(workers int) (*Fig4Result, error) {
-	return RunFig4Sink(workers, nil)
-}
-
-// RunFig4Sink is RunFig4Workers with a metrics sink threaded through the
-// fan-out (ParallelSink) and every verification cell (VerifyKernelSink).
-// A nil sink reproduces RunFig4Workers exactly; a live sink adds
-// per-task/per-cell observability without changing a single output byte.
-func RunFig4Sink(workers int, ms metrics.Sink) (*Fig4Result, error) {
-	return RunFig4Obs(workers, ms, nil)
-}
-
-// RunFig4Obs is RunFig4Sink with a timeline recorder threaded through the
-// fan-out (ParallelObs) and every verification cell (VerifyKernelObs).
-// The rows are byte-identical with or without a recorder.
-func RunFig4Obs(workers int, ms metrics.Sink, tz tracez.Recorder) (*Fig4Result, error) {
+// instance and simulator — so they run concurrently, at most o.Workers at
+// a time (see Options); results keep the deterministic cache-major,
+// Table II order, byte-identical for every o.
+func RunFig4(o Options) (*Fig4Result, error) {
 	type cell struct {
 		cfg cache.Config
 		k   kernels.Kernel
@@ -170,9 +139,9 @@ func RunFig4Obs(workers int, ms metrics.Sink, tz tracez.Recorder) (*Fig4Result, 
 		}
 	}
 	rows := make([][]Fig4Row, len(cells))
-	err := ParallelObs(len(cells), workers, ms, tz, func(i int) error {
+	err := Parallel(len(cells), o, func(i int) error {
 		var err error
-		rows[i], err = VerifyKernelObs(cells[i].k, cells[i].cfg, ms, tz)
+		rows[i], err = verifyKernel(cells[i].k, cells[i].cfg, o)
 		return err
 	})
 	if err != nil {

@@ -12,45 +12,50 @@ import (
 	"github.com/resilience-models/dvf/internal/tracez"
 )
 
+// Options configures a figure driver. The zero value is the plain run:
+// every cell fanned out at once, no metrics, no timeline. The figures
+// are byte-identical for every setting of every field; only wall-clock
+// time and the recorded observability change.
+type Options struct {
+	// Workers bounds the cells in flight: 1 runs them one after another
+	// in the caller's goroutine (the drivers' -workers=1 fallback, no
+	// goroutines at all), 0 fans all of them out, N > 1 keeps at most N
+	// in flight.
+	Workers int
+	// Sink, when non-nil, receives the fan-out's task timings and each
+	// cell's pipeline counters.
+	Sink metrics.Sink
+	// Tracer, when non-nil, records each cell's spans on its own track.
+	Tracer tracez.Recorder
+}
+
 // Parallel runs fn(0) … fn(n-1), returning the first error in index order.
 //
-// workers bounds the number of concurrently running calls: 1 runs every
-// call sequentially in the caller's goroutine (the deterministic fallback
-// behind the drivers' -workers=1 flag — no goroutines at all), 0 or a
-// value >= n imposes no bound (the historical fan-out of the figure
+// o.Workers bounds the number of concurrently running calls: 1 runs every
+// call sequentially in the caller's goroutine (no goroutines at all), 0
+// or a value >= n imposes no bound (the historical fan-out of the figure
 // drivers), and anything in between gates the calls through a semaphore.
 // All experiment fan-outs — RunFig4, RunFig5, RunFig6 and core.Explore —
 // route through this helper, so its concurrency discipline is what the
 // race-targeted tests exercise.
-func Parallel(n, workers int, fn func(int) error) error {
-	return ParallelSink(n, workers, nil, fn)
-}
-
-// ParallelSink is Parallel with observability: with a live sink it records
-// each task's wall time in the "experiments.task_ns" histogram, accumulates
-// "experiments.tasks" and "experiments.busy_ns" counters and the
-// "experiments.wall_ns" counter for the fan-out's own elapsed time — the
-// inputs to a worker-utilization ratio busy/(wall*workers). A nil sink is
-// exactly Parallel: the task closures are not even wrapped, so the
-// scheduling (and therefore any timing-sensitive interleaving) is
-// untouched.
-func ParallelSink(n, workers int, sink metrics.Sink, fn func(int) error) error {
-	return ParallelObs(n, workers, sink, nil, fn)
-}
-
-// ParallelObs is ParallelSink with a timeline recorder: with a live
-// recorder each task samples the "experiments.inflight" counter on entry
+//
+// With a live o.Sink each task's wall time lands in the
+// "experiments.task_ns" histogram, and the "experiments.tasks",
+// "experiments.busy_ns" and "experiments.wall_ns" counters accumulate the
+// inputs to a worker-utilization ratio busy/(wall*workers). With a live
+// o.Tracer each task samples the "experiments.inflight" counter on entry
 // and exit (the fan-out's concurrency over time, a stepped lane in
 // Perfetto) and runs under a pprof goroutine label
 // ("experiments.task" = index), so live CPU and goroutine profiles can
-// attribute samples to figure cells. A nil recorder is exactly
-// ParallelSink — the task closures are not wrapped at all.
-func ParallelObs(n, workers int, sink metrics.Sink, tz tracez.Recorder, fn func(int) error) error {
+// attribute samples to figure cells. A nil sink or tracer leaves the task
+// closures unwrapped, so the scheduling (and therefore any
+// timing-sensitive interleaving) is untouched.
+func Parallel(n int, o Options, fn func(int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	if tz != nil {
-		inflight := tz.Counter("experiments.inflight")
+	if o.Tracer != nil {
+		inflight := o.Tracer.Counter("experiments.inflight")
 		var cur atomic.Int64
 		inner := fn
 		fn = func(i int) error {
@@ -63,11 +68,11 @@ func ParallelObs(n, workers int, sink metrics.Sink, tz tracez.Recorder, fn func(
 			return err
 		}
 	}
-	if sink != nil {
-		taskNs := sink.Histogram("experiments.task_ns")
-		tasks := sink.Counter("experiments.tasks")
-		busy := sink.Counter("experiments.busy_ns")
-		wall := sink.Counter("experiments.wall_ns")
+	if o.Sink != nil {
+		taskNs := o.Sink.Histogram("experiments.task_ns")
+		tasks := o.Sink.Counter("experiments.tasks")
+		busy := o.Sink.Counter("experiments.busy_ns")
+		wall := o.Sink.Counter("experiments.wall_ns")
 		inner := fn
 		fn = func(i int) error {
 			t0 := time.Now()
@@ -81,7 +86,7 @@ func ParallelObs(n, workers int, sink metrics.Sink, tz tracez.Recorder, fn func(
 		t0 := time.Now()
 		defer func() { wall.Add(time.Since(t0).Nanoseconds()) }()
 	}
-	if workers == 1 || n == 1 {
+	if o.Workers == 1 || n == 1 {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {
 				return err
@@ -91,8 +96,8 @@ func ParallelObs(n, workers int, sink metrics.Sink, tz tracez.Recorder, fn func(
 	}
 	errs := make([]error, n)
 	var sem chan struct{}
-	if workers > 0 && workers < n {
-		sem = make(chan struct{}, workers)
+	if o.Workers > 0 && o.Workers < n {
+		sem = make(chan struct{}, o.Workers)
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {

@@ -15,7 +15,7 @@ func TestParallelRunsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 3, 100} {
 		const n = 37
 		var hits [n]atomic.Int32
-		err := Parallel(n, workers, func(i int) error {
+		err := Parallel(n, Options{Workers: workers}, func(i int) error {
 			hits[i].Add(1)
 			return nil
 		})
@@ -33,7 +33,7 @@ func TestParallelRunsEveryIndexOnce(t *testing.T) {
 func TestParallelReturnsFirstErrorByIndex(t *testing.T) {
 	errA := errors.New("a")
 	errB := errors.New("b")
-	err := Parallel(10, 0, func(i int) error {
+	err := Parallel(10, Options{}, func(i int) error {
 		switch i {
 		case 3:
 			return errA
@@ -49,7 +49,7 @@ func TestParallelReturnsFirstErrorByIndex(t *testing.T) {
 
 func TestParallelSequentialShortCircuits(t *testing.T) {
 	ran := 0
-	err := Parallel(10, 1, func(i int) error {
+	err := Parallel(10, Options{Workers: 1}, func(i int) error {
 		ran++
 		if i == 2 {
 			return errors.New("stop")
@@ -65,7 +65,7 @@ func TestParallelHonorsWorkerBound(t *testing.T) {
 	const n, workers = 64, 3
 	var inFlight, peak atomic.Int32
 	var mu sync.Mutex
-	err := Parallel(n, workers, func(int) error {
+	err := Parallel(n, Options{Workers: workers}, func(int) error {
 		cur := inFlight.Add(1)
 		mu.Lock()
 		if cur > peak.Load() {
@@ -84,17 +84,17 @@ func TestParallelHonorsWorkerBound(t *testing.T) {
 }
 
 func TestParallelZeroTasks(t *testing.T) {
-	if err := Parallel(0, 4, func(int) error { return errors.New("never") }); err != nil {
+	if err := Parallel(0, Options{Workers: 4}, func(int) error { return errors.New("never") }); err != nil {
 		t.Error(err)
 	}
 }
 
 // TestRaceVerifyCells is the race-detector target for the Figure 4 shape
 // end to end: concurrent verification cells, each feeding its own
-// simulator, exactly as RunFig4Workers does — but on a cheap kernel so it
+// simulator, exactly as RunFig4 does — but on a cheap kernel so it
 // stays fast under -race.
 func TestRaceVerifyCells(t *testing.T) {
-	err := Parallel(4, 2, func(i int) error {
+	err := Parallel(4, Options{Workers: 2}, func(i int) error {
 		rows, err := VerifyKernel(kernels.NewVM(2000), cache.Small)
 		if err != nil {
 			return err

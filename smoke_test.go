@@ -35,7 +35,7 @@ func TestSmokeVerificationBound(t *testing.T) {
 }
 
 func TestSmokeFig7Minimum(t *testing.T) {
-	res, err := experiments.RunFig7()
+	res, err := experiments.RunFig7(experiments.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
