@@ -21,11 +21,9 @@
 #                     benchmark, as a compile-and-run sanity check
 #   make bench        full benchmark suite (regenerates every figure)
 #   make fuzz-smoke   bounded fuzz of the simulator against the naive
-#                     LRU oracle and the v1 trace codec round-trip;
+#                     LRU oracle and of the trace codec's encode/decode
+#                     round-trip (incl. misalignment and truncation);
 #                     FUZZTIME bounds each target (default 10s)
-#   make fuzz-smoke-v2  bounded fuzz of the v2 (columnar) trace codec:
-#                     encode/decode round-trip incl. misalignment and
-#                     truncation, and v1-vs-v2 record equivalence
 #   make trace-smoke  record a fig4 timeline with -trace-out and
 #                     schema-validate it with dvf-flame -check
 #   make analytic-smoke  the analytic engine's red/green signal: the live
@@ -46,9 +44,9 @@ GO ?= go
 FUZZTIME ?= 10s
 LINTFLAGS ?=
 
-.PHONY: check fmt-check vet lint lint-sarif lint-fix-check build test race bench-smoke bench fuzz-smoke fuzz-smoke-v2 trace-smoke analytic-smoke extract-smoke serve-smoke
+.PHONY: check fmt-check vet lint lint-sarif lint-fix-check build test race bench-smoke bench fuzz-smoke trace-smoke analytic-smoke extract-smoke serve-smoke
 
-check: fmt-check vet lint lint-fix-check build test race bench-smoke fuzz-smoke fuzz-smoke-v2 trace-smoke analytic-smoke extract-smoke serve-smoke
+check: fmt-check vet lint lint-fix-check build test race bench-smoke fuzz-smoke trace-smoke analytic-smoke extract-smoke serve-smoke
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -102,11 +100,7 @@ bench:
 
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSimulatorVsReference$$' -fuzztime $(FUZZTIME) ./internal/cache
-	$(GO) test -run '^$$' -fuzz '^FuzzEncodeDecode$$' -fuzztime $(FUZZTIME) ./internal/trace
-
-fuzz-smoke-v2:
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeDecodeV2$$' -fuzztime $(FUZZTIME) ./internal/trace
-	$(GO) test -run '^$$' -fuzz '^FuzzV1V2RoundTrip$$' -fuzztime $(FUZZTIME) ./internal/trace
 
 TRACEOUT ?= trace-out
 trace-smoke:
@@ -120,8 +114,9 @@ analytic-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyticVsSimulator$$' -fuzztime $(FUZZTIME) ./internal/analytic
 
 # The extraction wall: static extraction of every kernel must agree with
-# the hand-written descriptors in both geometries, or the build is red —
-# same signal the patterndrift checker raises, but runnable standalone.
+# the hand-written descriptors in both geometries, or the build is red.
+# TestExtractMatchesHandWritten checks the same in the tier-1 tests; this
+# target prints the human-readable descriptor diff.
 extract-smoke:
 	$(GO) run ./cmd/dvf-extract -diff -suite verification
 	$(GO) run ./cmd/dvf-extract -diff -suite profiling

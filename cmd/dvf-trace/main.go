@@ -6,17 +6,15 @@
 //
 // Capture:
 //
-//	dvf-trace -record -kernel FT -out ft.trace            (v2 columnar)
-//	dvf-trace -record -kernel FT -format v1 -out ft.trace (v1 records)
+//	dvf-trace -record -kernel FT -out ft.trace
 //
 // Replay:
 //
 //	dvf-trace -replay ft.trace -cache small
 //	dvf-trace -replay ft.trace -all
 //
-// Replay reads either container version (sniffed from the magic), memory-
-// maps the file, and feeds the cache simulator RefBatch blocks — zero-copy
-// for v2 traces on little-endian machines.
+// Replay memory-maps the columnar trace file and feeds the cache
+// simulator RefBatch blocks — zero-copy on little-endian machines.
 //
 // Trace-free analysis:
 //
@@ -28,12 +26,15 @@
 // main-memory access table a replay would, in microseconds. It applies to
 // the affine Table II kernels (VM, CG, MG, FT); the data-dependent ones
 // (NB, MC) need a real trace.
+//
+// Usage errors (an unknown -cache or -engine, -record without -out,
+// stray arguments) exit with status 2; a failed run exits with status 1.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"strings"
 
@@ -56,72 +57,84 @@ var tableIV = map[string]cache.Config{
 }
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("dvf-trace: ")
-	record := flag.Bool("record", false, "record a kernel trace")
-	kernel := flag.String("kernel", "VM", "kernel to record (Table II code)")
-	out := flag.String("out", "", "output trace file (record mode)")
-	format := flag.String("format", "v2", "trace container to record: v2 (columnar, zero-copy replay) or v1")
-	replay := flag.String("replay", "", "trace file to replay")
-	cacheName := flag.String("cache", "small", "cache to replay against")
-	all := flag.Bool("all", false, "replay against every Table IV cache")
-	engine := flag.String("engine", "replay", "analysis engine: replay (trace-driven) or analytic (trace-free, affine kernels)")
-	o := obs.AddFlags(nil)
-	flag.Parse()
-	defer o.Start()()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run is the whole CLI, parameterized over its arguments and output
+// streams so main_test.go can drive it in-process. It returns the exit
+// status: 0 on success, 1 on a failed run, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dvf-trace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	record := fs.Bool("record", false, "record a kernel trace")
+	kernel := fs.String("kernel", "VM", "kernel to record (Table II code)")
+	out := fs.String("out", "", "output trace file (record mode)")
+	replay := fs.String("replay", "", "trace file to replay")
+	cacheName := fs.String("cache", "small", "cache to replay against")
+	all := fs.Bool("all", false, "replay against every Table IV cache")
+	engine := fs.String("engine", "replay", "analysis engine: replay (trace-driven) or analytic (trace-free, affine kernels)")
+	o := obs.AddFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "dvf-trace: "+format+"\n", a...)
+		fs.Usage()
+		return 2
+	}
+	if fs.NArg() > 0 {
+		return usage("unexpected arguments %q", fs.Args())
+	}
+	var configs []cache.Config
+	if *all {
+		configs = append(cache.VerificationConfigs(), cache.ProfilingConfigs()...)
+	} else if cfg, ok := tableIV[strings.ToLower(*cacheName)]; ok {
+		configs = []cache.Config{cfg}
+	}
+
+	var do func() error
 	switch {
-	case *engine == "analytic":
-		configs := []cache.Config{}
-		if *all {
-			configs = append(cache.VerificationConfigs(), cache.ProfilingConfigs()...)
-		} else {
-			cfg, ok := tableIV[strings.ToLower(*cacheName)]
-			if !ok {
-				log.Fatalf("unknown cache %q", *cacheName)
-			}
-			configs = append(configs, cfg)
-		}
-		for _, cfg := range configs {
-			if err := doAnalytic(*kernel, cfg); err != nil {
-				log.Fatal(err)
-			}
-		}
-	case *engine != "replay":
-		log.Fatalf("unknown -engine %q (want replay or analytic)", *engine)
-	case *record:
+	case *engine != "replay" && *engine != "analytic":
+		return usage("unknown -engine %q (want replay or analytic)", *engine)
+	case *engine == "replay" && *record:
 		if *out == "" {
-			log.Fatal("-record requires -out")
+			return usage("-record requires -out")
 		}
-		if err := doRecord(*kernel, *out, *format, o.Sink(), o.Tracer()); err != nil {
-			log.Fatal(err)
+		do = func() error { return doRecord(stdout, *kernel, *out, o.Sink(), o.Tracer()) }
+	case *engine == "analytic" || *replay != "":
+		if configs == nil {
+			return usage("unknown -cache %q", *cacheName)
 		}
-	case *replay != "":
-		configs := []cache.Config{}
-		if *all {
-			configs = append(cache.VerificationConfigs(), cache.ProfilingConfigs()...)
-		} else {
-			cfg, ok := tableIV[strings.ToLower(*cacheName)]
-			if !ok {
-				log.Fatalf("unknown cache %q", *cacheName)
+		do = func() error {
+			for _, cfg := range configs {
+				var err error
+				if *engine == "analytic" {
+					err = doAnalytic(stdout, *kernel, cfg)
+				} else {
+					err = doReplay(stdout, *replay, cfg, o.Sink(), o.Tracer())
+				}
+				if err != nil {
+					return err
+				}
 			}
-			configs = append(configs, cfg)
-		}
-		for _, cfg := range configs {
-			if err := doReplay(*replay, cfg, o.Sink(), o.Tracer()); err != nil {
-				log.Fatal(err)
-			}
+			return nil
 		}
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
+	defer o.Start()()
+	if err := do(); err != nil {
+		fmt.Fprintf(stderr, "dvf-trace: %v\n", err)
+		return 1
+	}
+	return 0
 }
 
 // doAnalytic solves a kernel's affine access pattern for one cache and
 // prints the predicted per-structure main-memory access counts — the
 // trace-free counterpart of recording and replaying it.
-func doAnalytic(code string, cfg cache.Config) error {
+func doAnalytic(stdout io.Writer, code string, cfg cache.Config) error {
 	k, err := kernels.ByName(code)
 	if err != nil {
 		return err
@@ -135,19 +148,16 @@ func doAnalytic(code string, cfg cache.Config) error {
 		return err
 	}
 	tol := analytic.Tolerance(k.Name(), cfg)
-	fmt.Printf("%s on %s (engine=analytic, tolerance %g)\n", prof.Kernel, prof.Cache, tol)
-	fmt.Printf("%-8s %12s %16s\n", "struct", "lines", "mem accesses")
+	fmt.Fprintf(stdout, "%s on %s (engine=analytic, tolerance %g)\n", prof.Kernel, prof.Cache, tol)
+	fmt.Fprintf(stdout, "%-8s %12s %16s\n", "struct", "lines", "mem accesses")
 	for _, s := range prof.Structures {
-		fmt.Printf("%-8s %12d %16.1f\n", s.Name, s.Lines, s.Misses)
+		fmt.Fprintf(stdout, "%-8s %12d %16.1f\n", s.Name, s.Lines, s.Misses)
 	}
-	fmt.Printf("%-8s %12s %16.1f\n", "total", "", prof.TotalMisses())
+	fmt.Fprintf(stdout, "%-8s %12s %16.1f\n", "total", "", prof.TotalMisses())
 	return nil
 }
 
-func doRecord(code, out, format string, sink metrics.Sink, tz tracez.Recorder) error {
-	if format != "v1" && format != "v2" {
-		return fmt.Errorf("unknown trace format %q (want v1 or v2)", format)
-	}
+func doRecord(stdout io.Writer, code, out string, sink metrics.Sink, tz tracez.Recorder) error {
 	k, err := kernels.ByName(code)
 	if err != nil {
 		return err
@@ -156,7 +166,7 @@ func doRecord(code, out, format string, sink metrics.Sink, tz tracez.Recorder) e
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer f.Close() // error paths only; the success path checks Close below
 
 	// The container header carries the region table, which is only fully
 	// known after the run (kernels may allocate auxiliary regions such as
@@ -170,28 +180,20 @@ func doRecord(code, out, format string, sink metrics.Sink, tz tracez.Recorder) e
 		return err
 	}
 	sp := tz.Track("trace.encode").Begin("encode " + out)
-	reg := kernelRegistry(info, rec)
-	if format == "v2" {
-		w := trace.NewWriterV2(f, reg)
-		for i, r := range rec.Refs {
-			w.Access(r, rec.Owners[i])
-		}
-		err = w.Flush()
-	} else {
-		var w *trace.Writer
-		if w, err = trace.NewWriter(f, reg); err == nil {
-			for i, r := range rec.Refs {
-				w.Access(r, rec.Owners[i])
-			}
-			err = w.Flush()
-		}
+	w := trace.NewWriterV2(f, kernelRegistry(info, rec))
+	for i, r := range rec.Refs {
+		w.Access(r, rec.Owners[i])
+	}
+	err = w.Flush()
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
 	sp.EndInt("refs", int64(len(rec.Refs)))
 	if err != nil {
 		return err
 	}
-	fmt.Printf("recorded %s: %d references, %d structures -> %s (%s)\n",
-		info.Kernel, len(rec.Refs), len(info.Structures), out, format)
+	fmt.Fprintf(stdout, "recorded %s: %d references, %d structures -> %s (v2)\n",
+		info.Kernel, len(rec.Refs), len(info.Structures), out)
 	return nil
 }
 
@@ -242,7 +244,7 @@ func kernelRegistry(info *kernels.RunInfo, rec *trace.Recorder) *trace.Registry 
 	return reg
 }
 
-func doReplay(path string, cfg cache.Config, sink metrics.Sink, tz tracez.Recorder) error {
+func doReplay(stdout io.Writer, path string, cfg cache.Config, sink metrics.Sink, tz tracez.Recorder) error {
 	tf, err := trace.OpenTraceFile(path)
 	if err != nil {
 		return err
@@ -266,6 +268,6 @@ func doReplay(path string, cfg cache.Config, sink metrics.Sink, tz tracez.Record
 		sim.Label(cache.StructID(r.ID), r.Name)
 	}
 	sim.PublishStats(sink, "cache.replay")
-	fmt.Print(sim.Report())
-	return nil
+	_, err = io.WriteString(stdout, sim.Report())
+	return err
 }

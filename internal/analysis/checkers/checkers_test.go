@@ -33,8 +33,8 @@ func TestPoollifeCrossPackage(t *testing.T) {
 
 func TestRegistryAllSorted(t *testing.T) {
 	all := All()
-	if len(all) != 13 {
-		t.Fatalf("expected 13 registered checkers, got %d", len(all))
+	if len(all) != 12 {
+		t.Fatalf("expected 12 registered checkers, got %d", len(all))
 	}
 	for i := 1; i < len(all); i++ {
 		if all[i-1].Name >= all[i].Name {
@@ -60,7 +60,7 @@ func TestRegistrySelect(t *testing.T) {
 		}
 		t.Errorf("Select kept neither order nor content: %v", got)
 	}
-	if sel, err := Select("  "); err != nil || len(sel) != 13 {
+	if sel, err := Select("  "); err != nil || len(sel) != 12 {
 		t.Errorf("blank selection should return all checkers, got %d, %v", len(sel), err)
 	}
 	if _, err := Select("nope"); err == nil || !strings.Contains(err.Error(), "unknown checker") {

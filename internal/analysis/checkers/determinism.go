@@ -10,8 +10,8 @@ import (
 
 // determinismScope names the packages whose outputs must be bit-for-bit
 // reproducible: the cache simulator (replay identity), the trace codec
-// (v1/v2 round-trip identity) and the experiments package (fig4–7
-// golden CSVs).
+// (encode/decode round-trip identity) and the experiments package
+// (fig4–7 golden CSVs).
 var determinismScope = []string{
 	"internal/cache",
 	"internal/trace",

@@ -21,7 +21,6 @@ func All() []*analysis.Analyzer {
 		HotAlloc,
 		LockSafe,
 		NilSink,
-		PatternDrift,
 		Poollife,
 		Unsafemem,
 	}

@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// fuzzStream derives a registry and reference stream from fuzz inputs,
-// shared by both v2 fuzz targets. Sizes stay inside the meta word's
-// 31-bit domain — the only part of the Ref domain v2 restricts.
+// fuzzStream derives a registry and reference stream from fuzz inputs.
+// Sizes stay inside the meta word's 31-bit domain — the only part of the
+// Ref domain the container restricts.
 func fuzzStream(seed int64, nRegions uint8, nRefs uint16) (*Registry, []Ref, []int32) {
 	rng := rand.New(rand.NewSource(seed))
 	reg := NewRegistry()
@@ -33,13 +33,17 @@ func fuzzStream(seed int64, nRegions uint8, nRefs uint16) (*Registry, []Ref, []i
 // reference stream generated from the fuzzed inputs are written through
 // WriterV2 and decoded with DecodeV2, and every region and record must
 // survive bit-for-bit — through both the zero-copy aliasing path and the
-// forced-misalignment copy path. The tail of each case decodes a truncated
-// prefix, which must fail with ErrBadTrace rather than panic. Seed corpus
-// lives under testdata/fuzz.
+// forced-misalignment copy path, read whole and as 64-reference Batches
+// views. The tail of each case decodes a truncated prefix, which must
+// fail with ErrBadTrace rather than panic. Seed corpus lives under
+// testdata/fuzz.
 func FuzzEncodeDecodeV2(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint16(100), uint16(7))
 	f.Add(int64(99), uint8(0), uint16(0), uint16(0))
 	f.Add(int64(5), uint8(16), uint16(2048), uint16(1))
+	f.Add(int64(1), uint8(3), uint16(100), uint16(0))
+	f.Add(int64(42), uint8(0), uint16(0), uint16(0))
+	f.Add(int64(7), uint8(20), uint16(1500), uint16(0))
 	f.Fuzz(func(t *testing.T, seed int64, nRegions uint8, nRefs uint16, cut uint16) {
 		reg, refs, owners := fuzzStream(seed, nRegions, nRefs)
 
@@ -73,6 +77,18 @@ func FuzzEncodeDecodeV2(f *testing.F) {
 					t.Fatalf("%s: record %d got %+v/%d, want %+v/%d", path, i, r, o, refs[i], owners[i])
 				}
 			}
+			i := 0
+			tr.Batches(64, func(b *RefBatch) {
+				b.Each(func(r Ref, o int32) {
+					if r != refs[i] || o != owners[i] {
+						t.Fatalf("%s: batched record %d got %+v/%d, want %+v/%d", path, i, r, o, refs[i], owners[i])
+					}
+					i++
+				})
+			})
+			if i != len(refs) {
+				t.Fatalf("%s: Batches visited %d records, want %d", path, i, len(refs))
+			}
 		}
 
 		tr, err := DecodeV2(encoded)
@@ -96,80 +112,6 @@ func FuzzEncodeDecodeV2(f *testing.F) {
 		// A truncated container must never panic the decoder.
 		if len(encoded) > 0 {
 			_, _ = DecodeV2(encoded[:int(cut)%len(encoded)])
-		}
-	})
-}
-
-// FuzzV1V2RoundTrip pins cross-format equivalence: the same reference
-// stream written as a v1 record stream and as a v2 columnar container must
-// decode to identical region tables and bit-identical replay streams, so
-// replacing v1 traces with v2 can never change a simulation result. Seed
-// corpus lives under testdata/fuzz.
-func FuzzV1V2RoundTrip(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint16(100))
-	f.Add(int64(42), uint8(0), uint16(0))
-	f.Add(int64(7), uint8(20), uint16(1500))
-	f.Fuzz(func(t *testing.T, seed int64, nRegions uint8, nRefs uint16) {
-		reg, refs, owners := fuzzStream(seed, nRegions, nRefs)
-
-		var v1buf bytes.Buffer
-		w1, err := NewWriter(&v1buf, reg)
-		if err != nil {
-			t.Fatalf("NewWriter: %v", err)
-		}
-		for i := range refs {
-			w1.Access(refs[i], owners[i])
-		}
-		if err := w1.Flush(); err != nil {
-			t.Fatalf("v1 Flush: %v", err)
-		}
-
-		var v2buf bytes.Buffer
-		w2 := NewWriterV2(&v2buf, reg)
-		for i := range refs {
-			w2.Access(refs[i], owners[i])
-		}
-		if err := w2.Flush(); err != nil {
-			t.Fatalf("v2 Flush: %v", err)
-		}
-
-		var v1Refs []Ref
-		var v1Owners []int32
-		v1Regions, err := ReadTrace(bytes.NewReader(v1buf.Bytes()), func(r Ref, o int32) {
-			v1Refs = append(v1Refs, r)
-			v1Owners = append(v1Owners, o)
-		})
-		if err != nil {
-			t.Fatalf("ReadTrace: %v", err)
-		}
-
-		tr, err := DecodeV2(v2buf.Bytes())
-		if err != nil {
-			t.Fatalf("DecodeV2: %v", err)
-		}
-
-		if len(tr.Regions) != len(v1Regions) {
-			t.Fatalf("regions: v2 %d, v1 %d", len(tr.Regions), len(v1Regions))
-		}
-		for i := range v1Regions {
-			if tr.Regions[i] != v1Regions[i] {
-				t.Errorf("region %d: v2 %+v, v1 %+v", i, tr.Regions[i], v1Regions[i])
-			}
-		}
-		if tr.NumRefs() != int64(len(v1Refs)) {
-			t.Fatalf("records: v2 %d, v1 %d", tr.NumRefs(), len(v1Refs))
-		}
-		i := 0
-		tr.Batches(64, func(b *RefBatch) {
-			b.Each(func(r Ref, o int32) {
-				if r != v1Refs[i] || o != v1Owners[i] {
-					t.Fatalf("record %d: v2 %+v/%d, v1 %+v/%d", i, r, o, v1Refs[i], v1Owners[i])
-				}
-				i++
-			})
-		})
-		if i != len(v1Refs) {
-			t.Fatalf("v2 replayed %d records, v1 %d", i, len(v1Refs))
 		}
 	})
 }

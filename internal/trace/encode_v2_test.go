@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -149,79 +150,101 @@ func TestDecodeV2TruncatedNeverPanics(t *testing.T) {
 	}
 }
 
-// TestOpenTraceFileBothVersions proves the uniform file surface: the same
-// stream written as v1 and as v2 replays identically through OpenTraceFile,
-// and the v2 path reports zero-copy on little-endian hosts.
+// TestOpenTraceFileBothVersions pins what OpenTraceFile does with each
+// container revision: a v2 file replays every record in order (zero-copy
+// on little-endian hosts), and a file in the retired v1 record format
+// fails with ErrBadTrace before any batch reaches the callback.
 func TestOpenTraceFileBothVersions(t *testing.T) {
 	reg, refs, owners := genStream(23, 3, 3000)
 	dir := t.TempDir()
 
-	v1Path := filepath.Join(dir, "trace.v1")
-	f1, err := os.Create(v1Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w1, err := NewWriter(f1, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range refs {
-		w1.Access(refs[i], owners[i])
-	}
-	if err := w1.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	v2Path := filepath.Join(dir, "trace.v2")
-	if err := os.WriteFile(v2Path, encodeV2(t, reg, refs, owners), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, tc := range []struct {
-		path    string
-		version int
-	}{
-		{v1Path, 1},
-		{v2Path, 2},
-	} {
-		tf, err := OpenTraceFile(tc.path)
+	t.Run("v2", func(t *testing.T) {
+		path := filepath.Join(dir, "trace.v2")
+		if err := os.WriteFile(path, encodeV2(t, reg, refs, owners), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tf, err := OpenTraceFile(path)
 		if err != nil {
-			t.Fatalf("OpenTraceFile(%s): %v", tc.path, err)
+			t.Fatalf("OpenTraceFile: %v", err)
 		}
-		if tf.Version != tc.version {
-			t.Fatalf("%s: Version = %d, want %d", tc.path, tf.Version, tc.version)
-		}
+		defer tf.Close()
 		if tf.NumRefs() != int64(len(refs)) {
-			t.Fatalf("%s: NumRefs = %d, want %d", tc.path, tf.NumRefs(), len(refs))
+			t.Fatalf("NumRefs = %d, want %d", tf.NumRefs(), len(refs))
 		}
-		want := reg.Regions()
-		if len(tf.Regions) != len(want) {
-			t.Fatalf("%s: regions %d, want %d", tc.path, len(tf.Regions), len(want))
+		if want := reg.Regions(); len(tf.Regions) != len(want) {
+			t.Fatalf("regions %d, want %d", len(tf.Regions), len(want))
 		}
 		i := 0
 		if err := tf.Replay(512, func(b *RefBatch) {
 			b.Each(func(r Ref, o int32) {
 				if r != refs[i] || o != owners[i] {
-					t.Fatalf("%s record %d: got %+v/%d, want %+v/%d", tc.path, i, r, o, refs[i], owners[i])
+					t.Fatalf("record %d: got %+v/%d, want %+v/%d", i, r, o, refs[i], owners[i])
 				}
 				i++
 			})
 		}); err != nil {
-			t.Fatalf("%s: Replay: %v", tc.path, err)
+			t.Fatalf("Replay: %v", err)
 		}
 		if i != len(refs) {
-			t.Fatalf("%s: replayed %d refs, want %d", tc.path, i, len(refs))
+			t.Fatalf("replayed %d refs, want %d", i, len(refs))
 		}
-		if tc.version == 2 && nativeIsLittle() && !tf.ZeroCopy() {
-			t.Errorf("%s: v2 replay is not zero-copy on a little-endian host", tc.path)
+		if nativeIsLittle() && !tf.ZeroCopy() {
+			t.Error("replay is not zero-copy on a little-endian host")
 		}
 		if err := tf.Close(); err != nil {
-			t.Fatalf("%s: Close: %v", tc.path, err)
+			t.Fatalf("Close: %v", err)
 		}
+		if err := tf.Replay(512, func(*RefBatch) { t.Fatal("replay after Close reached the callback") }); err == nil {
+			t.Error("Replay after Close returned nil")
+		}
+	})
+
+	t.Run("v1", func(t *testing.T) {
+		for name, raw := range map[string][]byte{
+			"stream": v1File(reg, refs, owners),
+			"header": v1File(NewRegistry(), nil, nil),
+		} {
+			path := filepath.Join(dir, "trace.v1-"+name)
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			tf, err := OpenTraceFile(path)
+			if !errors.Is(err, ErrBadTrace) {
+				t.Errorf("%s: OpenTraceFile error %v, want ErrBadTrace", name, err)
+			}
+			if tf != nil {
+				_ = tf.Replay(0, func(*RefBatch) { t.Errorf("%s: a v1 file reached the replay callback", name) })
+				_ = tf.Close()
+			}
+		}
+	})
+}
+
+// v1File encodes a stream in the retired v1 record layout, the input an
+// old trace file presents: magic "DVFT" | uint16 version=1 | uint32
+// region count | the region table | per ref uint64 addr | uint32 size |
+// uint8 flags | int32 owner.
+func v1File(reg *Registry, refs []Ref, owners []int32) []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint16([]byte("DVFT"), 1)
+	b = le.AppendUint32(b, uint32(len(reg.Regions())))
+	for _, r := range reg.Regions() {
+		b = le.AppendUint32(b, uint32(r.ID))
+		b = le.AppendUint64(b, r.Base)
+		b = le.AppendUint64(b, r.Size)
+		b = le.AppendUint16(b, uint16(len(r.Name)))
+		b = append(b, r.Name...)
 	}
+	for i, r := range refs {
+		b = le.AppendUint64(b, r.Addr)
+		b = le.AppendUint32(b, r.Size)
+		var flags byte
+		if r.Write {
+			flags = 1
+		}
+		b = le.AppendUint32(append(b, flags), uint32(owners[i]))
+	}
+	return b
 }
 
 func TestWriterV2AccessBatch(t *testing.T) {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -154,10 +155,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	a := g.Alloc("alpha", 128)
 	b := g.Alloc("beta", 256)
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := NewWriterV2(&buf, g)
 	mem := NewMemory(g, w)
 	mem.LoadN(a, 0, 8)
 	mem.StoreN(b, 3, 16)
@@ -166,56 +164,48 @@ func TestTraceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var got []Ref
-	var owners []int32
-	regions, err := ReadTrace(&buf, func(r Ref, o int32) {
-		got = append(got, r)
-		owners = append(owners, o)
-	})
+	tr, err := DecodeV2(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(regions) != 2 || regions[0].Name != "alpha" || regions[1].Name != "beta" {
-		t.Errorf("region table: %v", regions)
+	if len(tr.Regions) != 2 || tr.Regions[0].Name != "alpha" || tr.Regions[1].Name != "beta" {
+		t.Errorf("region table: %v", tr.Regions)
 	}
-	if len(got) != 3 {
-		t.Fatalf("decoded %d refs, want 3", len(got))
+	if tr.NumRefs() != 3 {
+		t.Fatalf("decoded %d refs, want 3", tr.NumRefs())
 	}
-	if got[1].Addr != b.Base+48 || !got[1].Write || got[1].Size != 16 {
-		t.Errorf("record 1: %+v", got[1])
+	batch := tr.Batch()
+	r1, o1 := batch.At(1)
+	if r1.Addr != b.Base+48 || !r1.Write || r1.Size != 16 {
+		t.Errorf("record 1: %+v", r1)
 	}
-	if owners[0] != int32(a.ID) || owners[1] != int32(b.ID) {
-		t.Errorf("owners: %v", owners)
+	if _, o0 := batch.At(0); o0 != int32(a.ID) || o1 != int32(b.ID) {
+		t.Errorf("owners: %d, %d", o0, o1)
 	}
 }
 
-func TestReadTraceRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		[]byte("nope"),
-		[]byte("DVFT"),                           // truncated header
-		append([]byte("DVFT"), 9, 0, 0, 0, 0, 0), // bad version
-		append([]byte("DVFT"), 1, 0, 5, 0, 0, 0, 1), // truncated region table
+// TestDecodeV2RejectsGarbage feeds DecodeV2 inputs that are not a
+// container, including the header of the retired v1 record format.
+func TestDecodeV2RejectsGarbage(t *testing.T) {
+	hdr := func(version byte, regions byte) []byte {
+		h := make([]byte, 24)
+		copy(h, "DVF2")
+		h[4], h[8] = version, regions
+		return h
 	}
-	for i, raw := range cases {
-		if _, err := ReadTrace(bytes.NewReader(raw), func(Ref, int32) {}); err == nil {
-			t.Errorf("case %d: ReadTrace accepted garbage", i)
+	cases := map[string][]byte{
+		"nil":          nil,
+		"nope":         []byte("nope"),
+		"bare magic":   []byte("DVF2"),
+		"bad version":  hdr(9, 0),
+		"region table": append(hdr(2, 5), 1), // five regions promised, one byte present
+		"v1 header":    v1File(NewRegistry(), nil, nil),
+		"v1 stream":    v1File(NewRegistry(), make([]Ref, 2), make([]int32, 2)), // passes the length check, fails the magic
+	}
+	for name, raw := range cases {
+		if _, err := DecodeV2(raw); !errors.Is(err, ErrBadTrace) {
+			t.Errorf("%s: DecodeV2 error %v, want ErrBadTrace", name, err)
 		}
-	}
-}
-
-func TestReadTraceTruncatedRecord(t *testing.T) {
-	g := NewRegistry()
-	g.Alloc("A", 64)
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, g)
-	w.Access(Ref{Addr: 1, Size: 4}, 1)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()[:buf.Len()-5] // chop the last record
-	if _, err := ReadTrace(bytes.NewReader(raw), func(Ref, int32) {}); err == nil {
-		t.Error("truncated record accepted")
 	}
 }
 
